@@ -24,6 +24,7 @@ stale-entry skipping.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import repeat
 from typing import Dict, List, Set, Tuple
 
 from repro.errors import AllocationError, ConfigurationError
@@ -66,13 +67,6 @@ class BuddyAllocator:
         lst = self._sorted[order]
         lst.insert(bisect_left(lst, pfn), pfn)
         self._free_pages += 1 << order
-
-    def _discard(self, order: int, pfn: int) -> None:
-        """Remove a specific free block."""
-        self._free_sets[order].remove(pfn)
-        lst = self._sorted[order]
-        del lst[bisect_left(lst, pfn)]
-        self._free_pages -= 1 << order
 
     def _pop_lowest(self, order: int) -> int:
         """Pop the lowest-address free block of *order*."""
@@ -124,21 +118,50 @@ class BuddyAllocator:
         self._allocated[pfn] = order
         return pfn
 
-    def alloc_pages(self, count: int) -> List[Tuple[int, int]]:
-        """Allocate *count* pages as a list of (pfn, order) extents.
+    def free_block_count(self, order: int) -> int:
+        """Number of free blocks of *order* (isolated blocks excluded)."""
+        return len(self._sorted[order])
 
-        Greedy: largest orders first, falling back to smaller orders as the
-        free lists fragment.  All-or-nothing — on failure everything grabbed
-        so far is freed again and :class:`AllocationError` is raised.
+    def alloc_max_order_run(self, count: int) -> List[int]:
+        """Allocate the *count* lowest free max-order blocks.
+
+        Returns their pfns ascending — exactly the blocks *count*
+        successive ``alloc_block(max_order)`` calls would return, taken
+        as one slice of the sorted free list.
+        """
+        order = self.max_order
+        lst = self._sorted[order]
+        if count > len(lst):
+            raise AllocationError(
+                f"{count} order-{order} blocks requested, {len(lst)} free")
+        run = lst[:count]
+        del lst[:count]
+        self._free_sets[order].difference_update(run)
+        self._free_pages -= count << order
+        self._allocated.update(dict.fromkeys(run, order))
+        return run
+
+    def alloc_run(self, count: int) -> Tuple[List[int], List[Tuple[int, int]]]:
+        """Allocate *count* pages as ``(run, rest)``.
+
+        *run* holds the ascending pfns of the max-order blocks the
+        request consumes; *rest* the smaller (pfn, order) blocks, in
+        address order.  The greedy policy takes max-order blocks first
+        and never creates new ones while allocating, so the run is
+        always the ``min(count >> max_order, free max-order blocks)``
+        lowest ones.  All-or-nothing: on failure everything grabbed is
+        freed again and :class:`AllocationError` is raised.
         """
         if count <= 0:
             raise AllocationError("count must be positive")
-        grabbed: List[Tuple[int, int]] = []
-        remaining = count
+        max_order = self.max_order
+        top = min(count >> max_order, len(self._sorted[max_order]))
+        run = self.alloc_max_order_run(top) if top else []
+        remaining = count - (top << max_order)
+        rest: List[Tuple[int, int]] = []
         free_sets = self._free_sets
         sorted_ = self._sorted
         allocated = self._allocated
-        max_order = self.max_order
         try:
             while remaining > 0:
                 # Free-list scan instead of exception-driven fallback:
@@ -158,24 +181,6 @@ class BuddyAllocator:
                             f"out of memory: {remaining} of {count} "
                             f"pages unsatisfied")
                     source = order
-                if source == order == max_order:
-                    # Bulk grab: a large request consumes a run of
-                    # max-order blocks.  The k lowest live pfns are the
-                    # sorted list's leading slice — one copy plus one
-                    # C-level delete, where the old heap walked them one
-                    # lazy pop at a time.
-                    live = free_sets[max_order]
-                    k = min(remaining >> max_order, len(live))
-                    if k >= 8:
-                        lst = sorted_[max_order]
-                        batch = lst[:k]
-                        del lst[:k]
-                        live.difference_update(batch)
-                        self._free_pages -= k << max_order
-                        allocated.update(dict.fromkeys(batch, max_order))
-                        grabbed.extend((pfn, max_order) for pfn in batch)
-                        remaining -= k << max_order
-                        continue
                 # Inlined _pop_lowest / _insert (this loop allocates one
                 # buddy block per extent, so call overhead adds up).
                 lst = sorted_[source]
@@ -190,13 +195,25 @@ class BuddyAllocator:
                     half_lst.insert(bisect_left(half_lst, half), half)
                     self._free_pages += 1 << source
                 allocated[pfn] = order
-                grabbed.append((pfn, order))
+                rest.append((pfn, order))
                 remaining -= 1 << order
         except AllocationError:
-            for pfn, order in grabbed:
+            for pfn, order in rest:
                 self.free_block(pfn, order)
+            self.free_max_order_blocks(run)
             raise
-        return grabbed
+        rest.sort()
+        return run, rest
+
+    def alloc_pages(self, count: int) -> List[Tuple[int, int]]:
+        """Allocate *count* pages as a list of (pfn, order) extents.
+
+        Greedy: largest orders first, falling back to smaller orders as the
+        free lists fragment.  All-or-nothing — on failure everything grabbed
+        so far is freed again and :class:`AllocationError` is raised.
+        """
+        run, rest = self.alloc_run(count)
+        return [(pfn, self.max_order) for pfn in run] + rest
 
     # --- freeing --------------------------------------------------------------
 
@@ -207,6 +224,10 @@ class BuddyAllocator:
             raise AllocationError(
                 f"free of pfn {pfn} order {order} does not match allocation "
                 f"({recorded})")
+        self._coalesce(pfn, order)
+
+    def _coalesce(self, pfn: int, order: int) -> None:
+        """Insert a free block, merging it with free buddies first."""
         free_sets = self._free_sets
         sorted_ = self._sorted
         max_order = self.max_order
@@ -233,14 +254,10 @@ class BuddyAllocator:
         sorted list is rebuilt with one extend + sort (timsort exploits
         the existing runs).
         """
-        allocated = self._allocated
+        if not pfns:
+            return
         order = self.max_order
-        for pfn in pfns:
-            recorded = allocated.pop(pfn, None)
-            if recorded != order:
-                raise AllocationError(
-                    f"free of pfn {pfn} order {order} does not match "
-                    f"allocation ({recorded})")
+        self.remove_allocated_run(pfns, order)
         self._free_sets[order].update(pfns)
         lst = self._sorted[order]
         lst.extend(pfns)
@@ -292,20 +309,17 @@ class BuddyAllocator:
             removed.extend((pfn, order) for pfn in found)
         return removed
 
-    def _free_in_range(self, order: int, start_pfn: int, count: int) -> List[int]:
-        """Free blocks of *order* lying inside a range.
-
-        The sorted list makes this a bisect-bounded slice — O(log n +
-        found) regardless of range size or list population.
-        """
-        lst = self._sorted[order]
-        i = bisect_left(lst, start_pfn)
-        return lst[i:bisect_left(lst, start_pfn + count, i)]
-
     def undo_isolation(self, removed: List[Tuple[int, int]]) -> None:
-        """Return blocks taken by :meth:`isolate_range` to the free lists."""
+        """Return blocks taken by :meth:`isolate_range` to the free lists.
+
+        *removed* may also hold frames migrated away while the range was
+        isolated (see :meth:`remove_allocated`), which can be buddies of
+        the blocks isolated with them, so every block goes back through
+        the coalescing path: a plain insert would leave such buddy halves
+        split for good.
+        """
         for pfn, order in removed:
-            self._insert(order, pfn)
+            self._coalesce(pfn, order)
 
     def free_pages_in_range(self, start_pfn: int, count: int) -> int:
         """Count free-list pages inside a range (used by removable checks)."""
@@ -376,3 +390,13 @@ class BuddyAllocator:
             raise AllocationError(
                 f"remove of pfn {pfn} order {order} does not match allocation "
                 f"({recorded})")
+
+    def remove_allocated_run(self, pfns: List[int], order: int) -> None:
+        """:meth:`remove_allocated` for many blocks of one *order*."""
+        recorded = list(map(self._allocated.pop, pfns, repeat(None)))
+        if recorded.count(order) != len(recorded):
+            pfn, found = next((pfn, found) for pfn, found
+                              in zip(pfns, recorded) if found != order)
+            raise AllocationError(
+                f"remove of pfn {pfn} order {order} does not match "
+                f"allocation ({found})")

@@ -10,11 +10,13 @@ blocks being off-lined, and renders ``/proc/meminfo``-style snapshots.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import AllocationError, ConfigurationError
-from repro.os.buddy import MAX_ORDER
+from repro.os.buddy import MAX_ORDER, BuddyAllocator
 from repro.os.page import BlockAccounting, OwnerKind, PageExtent
 from repro.os.zones import Zone, ZoneKind, ZoneLayout
 from repro.soa import BlockStateStore
@@ -38,10 +40,6 @@ class Meminfo:
     @property
     def total_bytes(self) -> int:
         return self.total_pages * PAGE_SIZE
-
-    @property
-    def free_bytes(self) -> int:
-        return self.free_pages * PAGE_SIZE
 
     @property
     def used_bytes(self) -> int:
@@ -95,6 +93,13 @@ class PhysicalMemoryManager:
         #: avoiding per-call property/method dispatch on the free path.
         self._zone_spans: List[Tuple[int, int, Zone]] = [
             (z.start_pfn, z.end_pfn, z) for z in self.zones]
+        normal = [z for z in self.zones if z.kind is ZoneKind.NORMAL]
+        movable = [z for z in self.zones if z.kind is ZoneKind.MOVABLE]
+        #: Zone allocation orders (see :meth:`_zones_for`), built once.
+        self._kernel_route: Tuple[Zone, ...] = tuple(normal)
+        self._user_route: Tuple[Zone, ...] = tuple(movable + normal)
+        #: Every zone's allocator, for the per-epoch :attr:`free_pages`.
+        self._allocators = tuple(z.allocator for z in self.zones)
         self._extents: Dict[int, PageExtent] = {}
         self._owners: Dict[str, Set[int]] = {}
         #: Per-owner max-heap of extent pfns (negated), maintained beside
@@ -108,12 +113,14 @@ class PhysicalMemoryManager:
         #: with ``_owners`` so ``owner_pages`` is O(1) instead of an
         #: O(extents) scan on the per-epoch resize path.
         self._owner_pages: Dict[str, int] = {}
-        #: Recycling pool of freed extents, keyed by pfn.  PageExtent is
-        #: immutable and identity-free (no __eq__/__hash__ overrides are
-        #: relied on), so an allocation whose (pfn, order, owner, kind,
-        #: mergeable) matches a previously freed extent can reuse the
-        #: object instead of constructing a new one — workloads that
-        #: oscillate re-acquire the same frames constantly.
+        #: Recycling pool of extents freed by :meth:`free_pages_of`, keyed
+        #: by pfn.  PageExtent is immutable and identity-free (no
+        #: __eq__/__hash__ overrides are relied on), so an allocation
+        #: whose (pfn, order, owner, kind, mergeable) matches a previously
+        #: freed extent can reuse the object instead of constructing a new
+        #: one — workloads that oscillate re-acquire the same frames
+        #: constantly.  :meth:`free_all` pools nothing: a departed owner
+        #: does not grow back.
         self._extent_pool: Dict[int, PageExtent] = {}
         self._blocks: List[BlockAccounting] = [
             BlockAccounting() for _ in range(self.num_blocks)]
@@ -125,7 +132,7 @@ class PhysicalMemoryManager:
 
     # --- zone routing -----------------------------------------------------
 
-    def _zones_for(self, kind: OwnerKind) -> List[Zone]:
+    def _zones_for(self, kind: OwnerKind) -> Tuple[Zone, ...]:
         """Allocation order of zones for an owner kind.
 
         Kernel memory is confined to ZONE_NORMAL.  User memory prefers
@@ -133,11 +140,9 @@ class PhysicalMemoryManager:
         is precisely the leak (Section 5.2) that puts unmovable pages into
         nominally movable blocks.
         """
-        normal = [z for z in self.zones if z.kind is ZoneKind.NORMAL]
-        movable = [z for z in self.zones if z.kind is ZoneKind.MOVABLE]
         if kind is OwnerKind.KERNEL:
-            return normal
-        return movable + normal
+            return self._kernel_route
+        return self._user_route
 
     # --- allocation / freeing -------------------------------------------------
 
@@ -151,43 +156,37 @@ class PhysicalMemoryManager:
         """
         if n_pages <= 0:
             raise AllocationError("n_pages must be positive")
-        plan: List[Tuple[Zone, List[Tuple[int, int]]]] = []
+        plan = []
         remaining = n_pages
         for zone in self._zones_for(kind):
             if remaining == 0:
                 break
-            take = min(remaining, zone.allocator.free_pages)
+            allocator = zone.allocator
+            take = min(remaining, allocator.free_pages)
             if take <= 0:
                 continue
-            blocks = zone.allocator.alloc_pages(take)
-            plan.append((zone, blocks))
+            plan.append((allocator, *allocator.alloc_run(take)))
             remaining -= take
         if remaining > 0:
-            for zone, blocks in plan:
-                for pfn, order in blocks:
-                    zone.allocator.free_block(pfn, order)
+            for allocator, run, rest in plan:
+                allocator.free_max_order_blocks(run)
+                for pfn, order in rest:
+                    allocator.free_block(pfn, order)
             raise AllocationError(
                 f"cannot allocate {n_pages} pages for {owner_id!r}: "
                 f"{remaining} short")
-        # Inlined bulk registration: identical bookkeeping to
-        # :meth:`_register`, restructured so the index maintenance runs
-        # as C-level bulk operations (allocations routinely span
-        # thousands of extents).
-        pool = self._extent_pool
-        pool_get = pool.get
-        extents = []
-        append = extents.append
-        for _zone, blocks in plan:
-            for pfn, order in blocks:
-                cached = pool_get(pfn)
-                if (cached is not None and cached.order == order
-                        and cached.owner_id == owner_id
-                        and cached.kind is kind
-                        and cached.mergeable == mergeable
-                        and not cached.ksm_shared):
-                    append(cached)
-                else:
-                    append(PageExtent(pfn, order, owner_id, kind, mergeable))
+        # Each zone hands back an ascending run of max-order blocks plus a
+        # few smaller blocks in address order; both are registered as
+        # bulk runs (allocations routinely span thousands of extents).
+        extents: List[PageExtent] = []
+        for allocator, run, rest in plan:
+            if run:
+                extents += self._place(run, repeat(allocator.max_order),
+                                       owner_id, kind, mergeable)
+            if rest:
+                small_pfns, small_orders = zip(*rest)
+                extents += self._place(small_pfns, small_orders, owner_id,
+                                       kind, mergeable)
         pfns = [extent.pfn for extent in extents]
         self._extents.update(zip(pfns, extents))
         owner_set = self._owners.setdefault(owner_id, set())
@@ -204,57 +203,65 @@ class PhysicalMemoryManager:
         else:
             owner_heap.extend(map(int.__neg__, pfns))
             heapq.heapify(owner_heap)
-        block_list = self._blocks
-        block_pages = self.block_pages
-        dirty = self.soa._dirty
-        # Extents come out of the buddy allocator in runs that stay
-        # within one memory block, so a last-block cache spares the
-        # accounting lookup on most iterations (it is only a cache —
-        # any extent order is still correct).
-        cur_block = -1
-        acct = None
-        acct_add = None
-        used_run = 0
-        if kind is OwnerKind.USER:
-            for extent in extents:
-                pfn = extent.pfn
-                block = pfn // block_pages
-                if block != cur_block:
-                    if acct is not None:
-                        acct.used_pages += used_run
-                    cur_block = block
-                    acct = block_list[block]
-                    acct_add = acct.extents.add
-                    dirty.add(block)
-                    used_run = 0
-                used_run += extent.pages
-                acct_add(pfn)
-            if acct is not None:
-                acct.used_pages += used_run
-        else:
-            for extent in extents:
-                pfn = extent.pfn
-                pages = extent.pages
-                block = pfn // block_pages
-                if block != cur_block:
-                    if acct is not None:
-                        acct.used_pages += used_run
-                        acct.unmovable_pages += used_run
-                    cur_block = block
-                    acct = block_list[block]
-                    acct_add = acct.extents.add
-                    dirty.add(block)
-                    used_run = 0
-                used_run += pages
-                acct_add(pfn)
-            if acct is not None:
-                acct.used_pages += used_run
-                acct.unmovable_pages += used_run
         # Every zone contributed exactly its ``take``, so the extent
         # pages sum to n_pages by construction.
         self._owner_pages[owner_id] = (
             self._owner_pages.get(owner_id, 0) + n_pages)
         return extents
+
+    def _place(self, pfns: Sequence[int], orders: Iterable[int],
+               owner_id: str, kind: OwnerKind,
+               mergeable: bool) -> List[PageExtent]:
+        """Extents for freshly allocated blocks (*pfns* ascending),
+        accounted to their memory blocks.
+
+        The allocation takes the pool's entries at its frames: one whose
+        (order, owner, kind, mergeable) matches is reused instead of
+        constructing a new extent, and the rest are dropped, so an extent
+        in use is never also pooled.
+        """
+        pool_pop = self._extent_pool.pop
+        extents = [
+            cached if (cached is not None and cached.order == order
+                       and cached.owner_id == owner_id
+                       and cached.kind is kind
+                       and cached.mergeable == mergeable
+                       and not cached.ksm_shared)
+            else PageExtent(pfn, order, owner_id, kind, mergeable)
+            for pfn, order, cached in zip(
+                pfns, orders, map(pool_pop, pfns, repeat(None)))]
+        self._account(pfns, extents, 1)
+        return extents
+
+    def _account(self, pfns: Sequence[int], extents: Sequence[PageExtent],
+                 sign: int) -> None:
+        """Add (*sign* 1) or remove (-1) extents in the per-block counters.
+
+        *pfns* are the extents' first frames, ascending, so each memory
+        block's share is one slice whose end a bisect finds: each block's
+        counters and extent set change once.
+        """
+        blocks = self._blocks
+        block_pages = self.block_pages
+        dirty = self.soa._dirty
+        i, n = 0, len(pfns)
+        while i < n:
+            block = pfns[i] // block_pages
+            j = bisect_left(pfns, (block + 1) * block_pages, i)
+            used = unmovable = 0
+            for extent in extents[i:j]:
+                used += extent.pages
+                if not extent.movable:
+                    unmovable += extent.pages
+            acct = blocks[block]
+            acct.used_pages += sign * used
+            acct.unmovable_pages += sign * unmovable
+            if sign > 0:
+                acct.extents.update(pfns[i:j])
+            else:
+                acct.extents.difference_update(pfns[i:j])
+            dirty.add(block)
+            i = j
 
     def _register(self, extent: PageExtent) -> None:
         self._extents[extent.pfn] = extent
@@ -276,13 +283,10 @@ class PhysicalMemoryManager:
         del self._extents[extent.pfn]
         owner_set = self._owners[extent.owner_id]
         owner_set.remove(extent.pfn)
-        remaining = self._owner_pages[extent.owner_id] - extent.pages
         if owner_set:
-            self._owner_pages[extent.owner_id] = remaining
+            self._owner_pages[extent.owner_id] -= extent.pages
         else:
-            del self._owners[extent.owner_id]
-            del self._owner_pages[extent.owner_id]
-            self._owner_maxheaps.pop(extent.owner_id, None)
+            self._drop_owner(extent.owner_id)
         block = extent.pfn // self.block_pages
         acct = self._blocks[block]
         acct.used_pages -= extent.pages
@@ -329,33 +333,11 @@ class PhysicalMemoryManager:
         if len(heap) > 4 * len(owner_set) + 64:
             # A sorted list of negated pfns is a valid min-heap.
             heap[:] = sorted(-pfn for pfn in owner_set)
-        # Inlined bulk unregister (mirrors :meth:`_unregister`); the
-        # owner-pages total is settled once after the whole-extent loop.
         extent_map = self._extents
-        block_list = self._blocks
-        block_pages = self.block_pages
-        dirty = self.soa._dirty
-        pool = self._extent_pool
         heappop = heapq.heappop
-        span_start = span_end = -1
-        span_free = None
-        span_alloc = None
-        span_mo = -1
-        # Max-order extents never coalesce, so their frees commute with
-        # everything else in the span and can be batched into one
-        # ``free_max_order_blocks`` call per zone span.
-        mo_batch: List[int] = []
+        victims: List[int] = []
         freed = 0
         partial = None
-        # Descending pfns visit each memory block in one contiguous run,
-        # so a last-block cache spares the accounting lookup on most
-        # iterations, with the page delta flushed per run (pure cache —
-        # correct in any visit order).
-        cur_block = -1
-        acct = None
-        acct_remove = None
-        used_run = 0
-        unmovable_run = 0
         while heap and freed < n_pages:
             # Pop immediately: a stale entry is discarded either way, and
             # the partial-case break below may consume its entry too (the
@@ -364,62 +346,75 @@ class PhysicalMemoryManager:
             pfn = -heappop(heap)
             if pfn not in owner_set:
                 continue
-            extent = extent_map[pfn]
-            pages = extent.pages
+            pages = extent_map[pfn].pages
             if freed + pages > n_pages:
-                partial = extent
+                partial = extent_map[pfn]
                 break
-            del extent_map[pfn]
-            pool[pfn] = extent
+            # Leaving the set here also makes a duplicate heap entry of
+            # this pfn stale.
             owner_set.remove(pfn)
-            block = pfn // block_pages
-            if block != cur_block:
-                if acct is not None:
-                    acct.used_pages -= used_run
-                    acct.unmovable_pages -= unmovable_run
-                cur_block = block
-                acct = block_list[block]
-                acct_remove = acct.extents.remove
-                dirty.add(block)
-                used_run = 0
-                unmovable_run = 0
-            used_run += pages
-            acct_remove(pfn)
-            if not extent.movable:
-                unmovable_run += pages
-            if not span_start <= pfn < span_end:
-                if mo_batch:
-                    span_alloc.free_max_order_blocks(mo_batch)
-                    mo_batch = []
-                for start, end, zone in self._zone_spans:
-                    if start <= pfn < end:
-                        span_start, span_end = start, end
-                        span_alloc = zone.allocator
-                        span_mo = span_alloc.max_order
-                        span_free = span_alloc.free_block
-                        break
-                else:
-                    raise AllocationError(f"pfn {pfn} outside all zones")
-            if extent.order == span_mo:
-                mo_batch.append(pfn)
-            else:
-                span_free(pfn, extent.order)
+            victims.append(pfn)
             freed += pages
-        if acct is not None:
-            acct.used_pages -= used_run
-            acct.unmovable_pages -= unmovable_run
-        if mo_batch:
-            span_alloc.free_max_order_blocks(mo_batch)
-        if freed:
+        if victims:
+            victims.reverse()
+            self._release(victims, self._extent_pool)
             if owner_set:
                 self._owner_pages[owner_id] -= freed
             else:
-                del self._owners[owner_id]
-                del self._owner_pages[owner_id]
-                self._owner_maxheaps.pop(owner_id, None)
+                self._drop_owner(owner_id)
         if partial is not None:
             freed += self._free_partial(partial, n_pages - freed)
         return freed
+
+    def free_all(self, owner_id: str) -> int:
+        """Free every extent of *owner_id*; returns pages freed.
+
+        A departed owner never grows back, so its extents are not pooled
+        for reuse.
+        """
+        owner_set = self._owners.get(owner_id)
+        if not owner_set:
+            return 0
+        freed = self._owner_pages[owner_id]
+        self._release(sorted(owner_set), None)
+        self._drop_owner(owner_id)
+        return freed
+
+    def _drop_owner(self, owner_id: str) -> None:
+        del self._owners[owner_id]
+        del self._owner_pages[owner_id]
+        self._owner_maxheaps.pop(owner_id, None)
+
+    def _release(self, pfns: List[int],
+                 pool: Optional[Dict[int, PageExtent]]) -> None:
+        """Free the whole extents at *pfns* (ascending) to their zones.
+
+        The caller settles the owner indexes; *pool*, when given, keeps
+        the freed extents for reuse.  With eager coalescing the buddy
+        state after a set of frees does not depend on their order, so
+        the extents leave as bulk runs: per memory block in
+        :meth:`_account`, and max-order blocks (which never coalesce) in
+        one ``free_max_order_blocks`` call per zone.
+        """
+        extents = list(map(self._extents.pop, pfns))
+        if pool is not None:
+            pool.update(zip(pfns, extents))
+        self._account(pfns, extents, -1)
+        for start, end, zone in self._zone_spans:
+            i = bisect_left(pfns, start)
+            j = bisect_left(pfns, end, i)
+            if i == j:
+                continue
+            allocator = zone.allocator
+            max_order = allocator.max_order
+            top = []
+            for pfn, extent in zip(pfns[i:j], extents[i:j]):
+                if extent.order == max_order:
+                    top.append(pfn)
+                else:
+                    allocator.free_block(pfn, extent.order)
+            if top:
+                allocator.free_max_order_blocks(top)
 
     def _free_partial(self, extent: PageExtent, n_pages: int) -> int:
         """Free the top *n_pages* of one extent by splitting it.
@@ -454,18 +449,16 @@ class PhysicalMemoryManager:
                                   extent.ksm_shared))
         return n_pages
 
-    def free_all(self, owner_id: str) -> int:
-        """Free every extent of *owner_id*; returns pages freed."""
-        freed = 0
-        for pfn in list(self._owners.get(owner_id, ())):
-            freed += self.free_extent(pfn)
-        return freed
-
     # --- queries -----------------------------------------------------------
 
     @property
     def free_pages(self) -> int:
-        return sum(z.allocator.free_pages for z in self.zones)
+        # Read every epoch: a plain loop over the zone allocators' own
+        # counters, with no generator or per-zone property call.
+        total = 0
+        for allocator in self._allocators:
+            total += allocator._free_pages
+        return total
 
     @property
     def online_pages(self) -> int:
@@ -534,34 +527,96 @@ class PhysicalMemoryManager:
         :class:`AllocationError` when destination memory is insufficient
         (the off-lining EAGAIN path) — the caller then undoes the whole
         isolation with the accumulated list.
+
+        Extents move in ascending pfn order, each to the lowest frames its
+        zone route offers.  A run of n max-order extents whose destination
+        zone has at least n free max-order blocks moves in bulk: one grab
+        of the n lowest, which is what n single grabs would take.
         """
+        source = self._zone_of(self.block_range(index)[0]).allocator
+        extent_map = self._extents
+        pfns = sorted(self._blocks[index].extents)
         migrated = 0
-        source_zone = self._zone_of(self.block_range(index)[0])
-        for extent in self.block_extents(index):
+        i, n = 0, len(pfns)
+        while i < n:
+            extent = extent_map[pfns[i]]
             if not extent.movable:
                 raise AllocationError(
                     f"block {index} has unmovable extent at {extent.pfn}")
-            new_blocks = None
-            for zone in self._zones_for(extent.kind):
-                try:
-                    new_blocks = zone.allocator.alloc_pages(extent.pages)
-                    break
-                except AllocationError:
+            route = self._zones_for(extent.kind)
+            j = i + 1
+            if extent.order == source.max_order:
+                while j < n:
+                    head = extent_map[pfns[j]]
+                    if head.order != source.max_order or not head.movable:
+                        break
+                    j += 1
+                # A single grab uses the first zone with room for one
+                # extent; that zone keeps the lead for the whole run as
+                # long as its max-order blocks last.
+                dest = next((z.allocator for z in route
+                             if z.allocator.free_pages >= extent.pages), None)
+                if (dest is not None
+                        and dest.free_block_count(dest.max_order) >= j - i):
+                    migrated += self._move_run(pfns[i:j], source, dest,
+                                               isolated)
+                    i = j
                     continue
-            if new_blocks is None:
-                raise AllocationError(
-                    f"no destination frames to migrate block {index}")
-            self._unregister(extent)
-            source_zone.allocator.remove_allocated(extent.pfn, extent.order)
-            isolated.append((extent.pfn, extent.order))
-            for pfn, order in new_blocks:
-                moved = PageExtent(pfn=pfn, order=order,
-                                   owner_id=extent.owner_id, kind=extent.kind,
-                                   mergeable=extent.mergeable,
-                                   ksm_shared=extent.ksm_shared)
-                self._register(moved)
-            migrated += extent.pages
+            for pfn in pfns[i:j]:
+                migrated += self._move_one(extent_map[pfn], route, source,
+                                           isolated)
+            i = j
         return migrated
+
+    def _move_one(self, extent: PageExtent, route: Sequence[Zone],
+                  source: BuddyAllocator,
+                  isolated: List[Tuple[int, int]]) -> int:
+        """Migrate one extent to the first zone of *route* with room."""
+        new_blocks = None
+        for zone in route:
+            try:
+                new_blocks = zone.allocator.alloc_pages(extent.pages)
+                break
+            except AllocationError:
+                continue
+        if new_blocks is None:
+            raise AllocationError(
+                f"no destination frames to migrate block "
+                f"{extent.pfn // self.block_pages}")
+        self._unregister(extent)
+        source.remove_allocated(extent.pfn, extent.order)
+        isolated.append((extent.pfn, extent.order))
+        for pfn, order in new_blocks:
+            self._register(PageExtent(pfn, order, extent.owner_id,
+                                      extent.kind, extent.mergeable,
+                                      extent.ksm_shared))
+        return extent.pages
+
+    def _move_run(self, pfns: List[int], source: BuddyAllocator,
+                  dest: BuddyAllocator,
+                  isolated: List[Tuple[int, int]]) -> int:
+        """Migrate the max-order extents at *pfns* (ascending) to the
+        lowest free max-order blocks of *dest*, pairing them in order."""
+        order = source.max_order
+        targets = dest.alloc_max_order_run(len(pfns))
+        movers = list(map(self._extents.pop, pfns))
+        source.remove_allocated_run(pfns, order)
+        isolated.extend(zip(pfns, repeat(order)))
+        self._account(pfns, movers, -1)
+        moved = [PageExtent(pfn, order, e.owner_id, e.kind, e.mergeable,
+                            e.ksm_shared) for pfn, e in zip(targets, movers)]
+        self._extents.update(zip(targets, moved))
+        self._account(targets, moved, 1)
+        # The single-grab path drops and re-creates an owner whose only
+        # extent moves; keeping it instead leaves the same owner sets.
+        owners = self._owners
+        heaps = self._owner_maxheaps
+        for old, new, extent in zip(pfns, targets, movers):
+            owner_set = owners[extent.owner_id]
+            owner_set.remove(old)
+            owner_set.add(new)
+            heapq.heappush(heaps[extent.owner_id], -new)
+        return len(pfns) << order
 
     # --- offline bookkeeping (driven by MemoryBlockManager) -------------------
 

@@ -2,10 +2,12 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.errors import AllocationError, ConfigurationError
+from repro.os.buddy import MAX_ORDER
 from repro.os.mm import PhysicalMemoryManager
-from repro.os.page import OwnerKind
+from repro.os.page import OwnerKind, PageExtent
 from repro.os.zones import ZoneKind
 from repro.units import GIB, MIB, PAGE_SIZE
 
@@ -207,3 +209,259 @@ class TestMeminfo:
         text = small_mm.meminfo().render()
         for field in ("MemTotal", "MemFree", "MemUsed", "MemOffline"):
             assert field in text
+
+
+class TestUndoIsolation:
+    def test_rollback_coalesces_migrated_frames(self):
+        """Undoing an isolation after a migration re-merges buddy halves."""
+        mm = PhysicalMemoryManager(total_bytes=8 * 128 * MIB,
+                                   block_bytes=128 * MIB)
+        low = mm.allocate("a", 512)[0]
+        high = mm.allocate("b", 512)[0]
+        assert (low.order, high.order) == (9, 9)
+        assert high.pfn == low.pfn + 512  # two halves of one 4 MiB block
+        block = low.pfn // mm.block_pages
+        isolated = mm.isolate_block(block)
+        mm.migrate_block_out(block, isolated)
+        mm.undo_isolate_block(block, isolated)
+        mm.free_all("a")
+        mm.free_all("b")
+        movable = mm.zones[1].allocator
+        assert len(movable.free_blocks(MAX_ORDER)) == 192
+        assert not movable.free_blocks(MAX_ORDER - 1)
+        assert mm.allocate("c", 1024)[0].pfn == low.pfn
+
+
+class TestExtentPool:
+    def test_departed_owner_leaves_nothing_pooled(self):
+        """Arrive/depart cycles: teardown pools none of the owner's
+        extents, so the pool stays empty."""
+        mm = make_mm(total=1 * GIB)
+        for cycle in range(20):
+            mm.allocate(f"vm{cycle}", 4096 + 123 * cycle)
+            mm.allocate(f"pin{cycle}", 8, kind=OwnerKind.PINNED)
+            mm.free_all(f"pin{cycle}")
+            mm.free_all(f"vm{cycle}")
+            assert not mm._extent_pool
+        assert mm.free_pages == mm.total_pages
+
+    def test_pool_stays_bounded_with_shrinks(self):
+        """Owners that shrink and grow back before departing: teardown
+        leaves the pool as it was, the pool never holds an extent in
+        use, and its size stops growing after the first cycles."""
+        mm = make_mm(total=1 * GIB)
+        mm.allocate("resident", 3000)
+        sizes = []
+        for cycle in range(40):
+            owner = f"vm{cycle}"
+            mm.allocate(owner, 5000 + 700 * (cycle % 5))
+            mm.free_pages_of(owner, 1500)   # shrink: pooled
+            mm.allocate(owner, 1000)        # grow back: reuses the pool
+            mm.free_pages_of("resident", 100)
+            mm.allocate("resident", 100)
+            before = dict(mm._extent_pool)
+            mm.free_all(owner)
+            assert mm._extent_pool == before
+            assert all(mm._extents.get(pfn) is not extent
+                       for pfn, extent in mm._extent_pool.items())
+            sizes.append(len(mm._extent_pool))
+        assert max(sizes) == max(sizes[:5])
+
+
+# --- equivalence of the bulk paths with a per-extent reference ---------------
+
+
+class PerExtentMM(PhysicalMemoryManager):
+    """The memory manager with every VM-sized operation done one extent
+    at a time through ``_register``/``_unregister``/``free_extent``: the
+    reference the bulk transactions must match state for state."""
+
+    def allocate(self, owner_id, n_pages, kind=OwnerKind.USER,
+                 mergeable=False):
+        if n_pages <= 0:
+            raise AllocationError("n_pages must be positive")
+        plan = []
+        remaining = n_pages
+        for zone in self._zones_for(kind):
+            if remaining == 0:
+                break
+            take = min(remaining, zone.allocator.free_pages)
+            if take <= 0:
+                continue
+            plan.append((zone, zone.allocator.alloc_pages(take)))
+            remaining -= take
+        if remaining > 0:
+            for zone, blocks in plan:
+                for pfn, order in blocks:
+                    zone.allocator.free_block(pfn, order)
+            raise AllocationError("short")
+        extents = []
+        for _zone, blocks in plan:
+            for pfn, order in blocks:
+                extent = PageExtent(pfn, order, owner_id, kind, mergeable)
+                self._register(extent)
+                extents.append(extent)
+        return extents
+
+    def free_pages_of(self, owner_id, n_pages):
+        freed = 0
+        for pfn in sorted(self._owners.get(owner_id, ()), reverse=True):
+            if freed >= n_pages:
+                break
+            extent = self._extents[pfn]
+            if freed + extent.pages > n_pages:
+                return freed + self._free_partial(extent, n_pages - freed)
+            freed += self.free_extent(pfn)
+        return freed
+
+    def free_all(self, owner_id):
+        return sum(self.free_extent(pfn)
+                   for pfn in list(self._owners.get(owner_id, ())))
+
+    def migrate_block_out(self, index, isolated):
+        migrated = 0
+        source = self._zone_of(self.block_range(index)[0]).allocator
+        for extent in self.block_extents(index):
+            if not extent.movable:
+                raise AllocationError("unmovable")
+            migrated += self._move_one(extent, self._zones_for(extent.kind),
+                                       source, isolated)
+        return migrated
+
+
+def _mm_state(mm):
+    soa = mm.soa_view()
+    return {
+        "buddy": [(z.allocator._sorted, z.allocator._allocated,
+                   z.allocator.free_pages) for z in mm.zones],
+        "blocks": [(b.used_pages, b.unmovable_pages, b.extents)
+                   for b in mm._blocks],
+        "extents": {pfn: (e.order, e.owner_id, e.kind, e.mergeable)
+                    for pfn, e in mm._extents.items()},
+        "owners": mm._owners,
+        "owner_pages": mm._owner_pages,
+        "soa": [soa.used_pages.tolist(), soa.unmovable_pages.tolist(),
+                soa.offline.tolist()],
+        "offlined": mm.online_pages,
+    }
+
+
+class BulkEquivalenceMachine(RuleBasedStateMachine):
+    """Random operation sequences on the bulk mm and the per-extent
+    reference; the two must agree on every piece of state after every
+    step, including which operations raise."""
+
+    OWNERS = ("a", "b", "c", "d")
+    KINDS = (OwnerKind.USER, OwnerKind.USER, OwnerKind.PINNED,
+             OwnerKind.KERNEL)
+
+    @initialize()
+    def setup(self):
+        # 16 memory blocks of four max-order blocks each: small enough
+        # that free max-order blocks run out during migrations.
+        self.pair = [cls(total_bytes=256 * MIB, block_bytes=16 * MIB,
+                         movable_fraction=0.5)
+                     for cls in (PhysicalMemoryManager, PerExtentMM)]
+        self.offline = set()
+
+    def _both(self, op):
+        outcomes = []
+        for mm in self.pair:
+            try:
+                outcomes.append(("ok", op(mm)))
+            except AllocationError:
+                outcomes.append(("raised", None))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    @rule(owner=st.sampled_from(OWNERS), kind=st.sampled_from(KINDS),
+          pages=st.one_of(st.integers(1, 3000),
+                          st.integers(1, 24).map(lambda k: k << MAX_ORDER)))
+    def allocate(self, owner, kind, pages):
+        self._both(lambda mm: [e.pfn for e in sorted(
+            mm.allocate(owner, pages, kind=kind), key=lambda e: e.pfn)])
+
+    @rule(owner=st.sampled_from(OWNERS), pages=st.integers(1, 20_000))
+    def free_pages_of(self, owner, pages):
+        self._both(lambda mm: mm.free_pages_of(owner, pages))
+
+    @rule(owner=st.sampled_from(OWNERS))
+    def free_all(self, owner):
+        self._both(lambda mm: mm.free_all(owner))
+
+    @rule(block=st.integers(0, 15), complete=st.booleans())
+    def offline_block(self, block, complete):
+        if block in self.offline:
+            return
+        isolated = [mm.isolate_block(block) for mm in self.pair]
+
+        def migrate(mm):
+            held = isolated[self.pair.index(mm)]
+            if not mm.block_is_free(block):
+                mm.migrate_block_out(block, held)
+            return sorted(held)
+
+        outcome, _ = self._both(migrate)
+        for mm, held in zip(self.pair, isolated):
+            if outcome == "ok" and complete:
+                mm.complete_offline(block)
+            else:
+                mm.undo_isolate_block(block, held)
+        if outcome == "ok" and complete:
+            self.offline.add(block)
+
+    @rule(block=st.integers(0, 15))
+    def online_block(self, block):
+        if block in self.offline:
+            self.offline.remove(block)
+            for mm in self.pair:
+                mm.complete_online(block)
+
+    @invariant()
+    def same_state(self):
+        if hasattr(self, "pair"):
+            bulk, reference = self.pair
+            assert _mm_state(bulk) == _mm_state(reference)
+
+
+BulkEquivalenceMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None)
+TestBulkEquivalence = BulkEquivalenceMachine.TestCase
+
+
+class TestBulkMigration:
+    @pytest.mark.parametrize("fill_normal", [False, True])
+    @pytest.mark.parametrize("free_top", [0, 1, 3, 4, 9])
+    def test_run_migration_matches_reference(self, free_top, fill_normal):
+        """A block of four max-order extents of three owners migrated
+        with 0..9 free max-order blocks left in ZONE_MOVABLE, and
+        ZONE_NORMAL free or full: bulk when a zone has at least four,
+        single grabs (falling back to smaller blocks or the next zone,
+        or failing part way) otherwise — the same state as the
+        reference either way."""
+        pair = [cls(total_bytes=256 * MIB, block_bytes=16 * MIB,
+                    movable_fraction=0.5)
+                for cls in (PhysicalMemoryManager, PerExtentMM)]
+        outcomes = []
+        for mm in pair:
+            movable = mm.zones[1].allocator
+            for k in range(4):  # one run, three owners
+                mm.allocate(f"vm{k % 3}", 1 << MAX_ORDER,
+                            mergeable=k == 2)
+            block = max(mm._extents) // mm.block_pages
+            free = movable.free_block_count(MAX_ORDER)
+            mm.allocate("fill", (free - free_top) << MAX_ORDER)
+            mm.allocate("frag", 600)
+            if fill_normal:
+                mm.allocate("kernel", mm.zones[0].allocator.free_pages,
+                            kind=OwnerKind.KERNEL)
+            mm.free_pages_of("fill", 700)
+            isolated = mm.isolate_block(block)
+            try:
+                outcomes.append(mm.migrate_block_out(block, isolated))
+                mm.complete_offline(block)
+            except AllocationError:
+                outcomes.append(None)
+                mm.undo_isolate_block(block, isolated)
+        assert outcomes[0] == outcomes[1]
+        assert _mm_state(pair[0]) == _mm_state(pair[1])
