@@ -14,7 +14,6 @@ from repro.errors import ConfigurationError
 from repro.power.model import RankPowerProfile
 from repro.power.states import PowerState
 from repro.units import GIB
-from repro.workloads.profiles import WorkloadProfile
 
 
 def resident_ranks_for(footprint_bytes: int,
@@ -82,10 +81,3 @@ def idle_residency(selfrefresh_fraction: float,
     if powerdown_fraction:
         residency[PowerState.POWER_DOWN] = powerdown_fraction
     return residency
-
-
-def split_bandwidth(profile: WorkloadProfile, n_copies: int,
-                    ranks_carrying: int) -> float:
-    """Per-rank bandwidth when traffic concentrates on some ranks."""
-    total = profile.bandwidth_demand_bytes_per_s * n_copies
-    return total / max(1, ranks_carrying)

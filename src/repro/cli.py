@@ -196,6 +196,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     table.add_row("execution-time overhead",
                   f"{result.overhead_fraction:.2%}")
     table.add_row("swap I/O pages", simulator.swap.stats.total_io_pages)
+    ff = simulator.ff_stats
+    table.add_row("epochs fast-forwarded",
+                  f"{ff.epochs_fast_forwarded}/{ff.epochs_total}")
+    vetoes = ", ".join(f"{key[len('veto_'):]}={count}"
+                       for key, count in ff.vetoes().items() if count)
+    table.add_row("fast-forward vetoes", vetoes or "none")
     fractions = result.residency.fractions()
     if fractions:
         table.add_row("state residencies",

@@ -142,8 +142,8 @@ class GreenDIMMDaemon:
         """Advance the monitor timer through an epoch known to be a no-op.
 
         A bit-exact mirror of :meth:`step`'s timer arithmetic for epochs
-        where ``monitor_once`` would read free memory inside the
-        hysteresis band and do nothing; the fast-forward layer calls this
+        where ``monitor_once`` would do nothing (:meth:`monitor_is_noop`
+        holds throughout); the fast-forward layer calls this
         instead of :meth:`step` so a later slow epoch fires the monitor
         at exactly the same simulated time either way.
         """
@@ -155,14 +155,23 @@ class GreenDIMMDaemon:
     def monitor_is_noop(self) -> bool:
         """True when a monitor pass right now would take no action.
 
-        The exact complement of :meth:`monitor_once`'s two branches:
-        free memory sits inside ``[on_thr, off_thr + one block]``, so the
-        pass would neither on-line nor off-line anything (and would
-        consume no selector/hot-plug randomness).
+        Exact below and inside the hysteresis band, conservative above
+        it; :meth:`monitor_once` branch by branch:
+
+        * below ``on_thr`` the pass refills from the offline set, so it
+          is a no-op exactly when no block is offline: ``_online_until``
+          then walks an empty set and touches no stats, randomness,
+          event log or power control (a saturated server in swap);
+        * inside ``[on_thr, off_thr + one block]`` neither branch runs;
+        * above the band the pass always re-reads sysfs into the
+          selector's stale view and may retry blocks whose embargo has
+          expired by then, which a clock-free predicate cannot rule
+          out, so it counts as acting.
         """
         free = self.mm.free_pages
-        return (self.low_water_pages <= free
-                <= self.reserve_pages + self._block_pages)
+        if free < self.low_water_pages:
+            return self.hotplug.offline_count == 0
+        return free <= self.reserve_pages + self._block_pages
 
     def monitor_once(self, now_s: float = 0.0) -> None:
         """One ``memory_usage_monitor()`` evaluation."""

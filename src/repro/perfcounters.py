@@ -10,7 +10,7 @@ land in the ``job_end`` JSONL metrics events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict
 
 
@@ -27,9 +27,22 @@ class PerfCounters:
     #: ``epochs_stepped``) and the stable spans that batched them.
     epochs_batched: int = 0
     stable_spans: int = 0
+    #: Stepped epochs per fast-forward veto reason, keyed ``veto_<reason>``
+    #: (:data:`repro.sim.fastforward.VETO_REASONS`).
+    vetoes: Dict[str, int] = field(default_factory=dict)
+
+    def add_vetoes(self, vetoes: Dict[str, int]) -> None:
+        """Accumulate one run's ``veto_<reason>`` counters."""
+        for key, value in vetoes.items():
+            self.vetoes[key] = self.vetoes.get(key, 0) + value
 
     def as_dict(self) -> Dict[str, int]:
-        """Non-zero counters only, so quiet jobs emit nothing."""
+        """Non-zero counters only, so quiet jobs emit nothing.
+
+        The veto counters are the exception within their group: once
+        any is non-zero all of them are emitted, so a reader always sees
+        the full split of the job's vetoed epochs.
+        """
         fields = {
             "power_cache_hits": self.power_cache_hits,
             "power_cache_misses": self.power_cache_misses,
@@ -39,7 +52,10 @@ class PerfCounters:
             "epochs_batched": self.epochs_batched,
             "stable_spans": self.stable_spans,
         }
-        return {key: value for key, value in fields.items() if value}
+        counters = {key: value for key, value in fields.items() if value}
+        if any(self.vetoes.values()):
+            counters.update(self.vetoes)
+        return counters
 
     def reset(self) -> None:
         self.power_cache_hits = 0
@@ -49,6 +65,7 @@ class PerfCounters:
         self.fast_forward_windows = 0
         self.epochs_batched = 0
         self.stable_spans = 0
+        self.vetoes = {}
 
 
 #: The process-wide accumulator the hot paths increment directly.

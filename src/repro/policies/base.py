@@ -22,7 +22,9 @@ The obligations, in the order the kernel exercises them:
 ``monitor_is_noop()``
     True when a :meth:`step` right now would take no action and consume
     no randomness.  :func:`~repro.sim.fastforward.quiescent_horizon`
-    refuses to open a fast-forward window unless this holds.
+    refuses to open a fast-forward window unless this holds, so every
+    state it wrongly calls acting costs a stepped epoch.
+    ``tests/test_noop_oracle.py`` checks it against a real fire.
 
 ``monitor_timer`` / ``monitor_period_s``
     The replay surface: batched fast-forward advances the timer with

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:
     from repro.core.system import GreenDIMMSystem
@@ -50,6 +50,16 @@ class SimClock:
         self.now_s += self.epoch_s
 
 
+#: Why a stepped epoch did not fast-forward, one counter each:
+#: ``workload_event`` (the source's horizon is now: an event, a ramp or a
+#: resize is due), ``monitor_armed`` (the policy's monitor would act),
+#: ``ksm`` (KSM has regions to scan or just finished a pass),
+#: ``fault_window`` (a fault rule is live) and ``short_window`` (the
+#: quiescent window ahead ends within one epoch).
+VETO_REASONS = ("workload_event", "monitor_armed", "ksm", "fault_window",
+                "short_window")
+
+
 @dataclass
 class FastForwardStats:
     """Per-run accounting of the fast-forward and span-planner layers."""
@@ -64,6 +74,16 @@ class FastForwardStats:
     #: evaluated in bulk, not a skipped one — which keeps ``as_dict()``
     #: (pinned by the golden kernel recordings) unchanged by batching.
     epochs_batched: int = 0
+    #: Stepped epochs per veto reason (see :data:`VETO_REASONS`), counted
+    #: only where a run could fast-forward at all; a stable span counts
+    #: all its epochs under the reason that vetoed the window it
+    #: replaced.  Their sum is at most ``epochs_stepped``: epochs a
+    #: churn perturbation pulled out of a window are not classified.
+    veto_workload_event: int = 0
+    veto_monitor_armed: int = 0
+    veto_ksm: int = 0
+    veto_fault_window: int = 0
+    veto_short_window: int = 0
 
     @property
     def epochs_total(self) -> int:
@@ -79,21 +99,45 @@ class FastForwardStats:
         """Epochs that truly stepped the full stack one at a time."""
         return self.epochs_stepped - self.epochs_batched
 
+    def note_veto(self, reason: str, epochs: int) -> None:
+        """Count *epochs* stepped epochs under veto *reason*."""
+        name = "veto_" + reason
+        setattr(self, name, getattr(self, name) + epochs)
+
+    def vetoes(self) -> Dict[str, int]:
+        """The veto counters, keyed ``veto_<reason>``."""
+        return {"veto_" + reason: getattr(self, "veto_" + reason)
+                for reason in VETO_REASONS}
+
     def as_dict(self) -> Dict[str, int]:
         return {"windows": self.windows,
                 "epochs_fast_forwarded": self.epochs_fast_forwarded,
                 "epochs_stepped": self.epochs_stepped}
 
     def span_counters(self) -> Dict[str, int]:
-        """The span-planner view: quiescent / batched / dynamic epochs.
+        """The span-planner view: quiescent / batched / dynamic / vetoed.
 
-        Kept out of :meth:`as_dict` deliberately — that dict's keys and
-        values are pinned bit-for-bit by the golden kernel recordings.
+        The ``veto_<reason>`` counters say why the stepped epochs did
+        not fast-forward.  All of it is kept out of :meth:`as_dict`
+        deliberately — that dict's keys and values are pinned
+        bit-for-bit by the golden kernel recordings.
         """
-        return {"spans_quiescent": self.windows,
-                "spans_stable": self.spans_stable,
-                "epochs_batched": self.epochs_batched,
-                "epochs_dynamic": self.epochs_dynamic}
+        counters = {"spans_quiescent": self.windows,
+                    "spans_stable": self.spans_stable,
+                    "epochs_batched": self.epochs_batched,
+                    "epochs_dynamic": self.epochs_dynamic}
+        counters.update(self.vetoes())
+        return counters
+
+
+def _busy_reason(system: "GreenDIMMSystem") -> Optional[str]:
+    """The first fault-independent check vetoing a window, or ``None``."""
+    if not system.policy.monitor_is_noop():
+        return "monitor_armed"
+    ksm = system.ksm
+    if ksm is not None and (ksm.pass_just_completed or ksm.registry.regions()):
+        return "ksm"
+    return None
 
 
 def quiescent_horizon(system: "GreenDIMMSystem", now_s: float) -> float:
@@ -101,20 +145,28 @@ def quiescent_horizon(system: "GreenDIMMSystem", now_s: float) -> float:
 
     Returns *now_s* itself when the system is not quiescent right now:
     the active policy's monitor would act (for the daemon: free memory
-    outside the hysteresis band), KSM has registered regions to scan (or
-    a just-completed pass that would kick the monitor), or a fault rule
-    is live.  Otherwise returns the earliest future time system activity
-    could resume — the next fault-rule start, or ``inf``.
+    above the hysteresis band, or below it with a block offline to
+    bring back), KSM has registered regions to scan (or a just-completed
+    pass that would kick the monitor), or a fault rule is live.
+    Otherwise returns the earliest future time system activity could
+    resume — the next fault-rule start, or ``inf``.
 
     Callers intersect this with their own workload-side horizon (next
     trace event, end of the footprint's flat run).
     """
-    if not system.policy.monitor_is_noop():
-        return now_s
-    ksm = system.ksm
-    if ksm is not None and (ksm.pass_just_completed or ksm.registry.regions()):
+    if _busy_reason(system) is not None:
         return now_s
     injector = system.fault_injector
     if injector is None:
         return math.inf
     return injector.quiescent_until(now_s)
+
+
+def system_veto(system: "GreenDIMMSystem") -> str:
+    """Why :func:`quiescent_horizon` just returned its *now_s*.
+
+    Re-runs its checks in the same order without consulting the fault
+    injector again: once the monitor and KSM pass, only a live fault
+    rule can have vetoed the window.
+    """
+    return _busy_reason(system) or "fault_window"

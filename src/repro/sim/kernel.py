@@ -53,7 +53,12 @@ from repro.obs.tracer import GLOBAL_TRACER as TRACER
 from repro.os.hotplug import HotplugStats
 from repro.power.model import PowerCacheStats
 from repro.sim.calendar import EventCalendar, intersect_horizons
-from repro.sim.fastforward import FastForwardStats, SimClock, quiescent_horizon
+from repro.sim.fastforward import (
+    FastForwardStats,
+    SimClock,
+    quiescent_horizon,
+    system_veto,
+)
 from repro.soa import (
     accumulate_energy,
     batched_times,
@@ -531,6 +536,7 @@ class EpochKernel:
         counters.fast_forward_windows += stats.windows
         counters.epochs_batched += stats.epochs_batched
         counters.stable_spans += stats.spans_stable
+        counters.add_vetoes(stats.vetoes())
 
     # --- sampling ---------------------------------------------------------
 
@@ -954,6 +960,7 @@ class EpochKernel:
         residency = state.residency
         cap = min(duration, until_s) if exact else duration
         stable_until = getattr(source, "stable_until", source.horizon)
+        ff_stats = sim.ff_stats
         try:
             while clock.now_s < duration and clock.now_s < until_s:
                 t = clock.now_s
@@ -971,6 +978,10 @@ class EpochKernel:
                                     pinned_churn, samples, dram_energy,
                                     baseline_energy, residency)
                             continue
+                        veto = ("short_window" if horizon > t
+                                else system_veto(system))
+                    else:
+                        veto = "workload_event"
                     # No quiescent window — the monitor is armed, or the
                     # one ahead is too short.  Try a *stable* span: the
                     # weaker promise that apply() no-ops and the
@@ -989,7 +1000,9 @@ class EpochKernel:
                                     clock, n, bandwidth, row_miss,
                                     pinned_churn, samples, dram_energy,
                                     baseline_energy, residency)
+                            ff_stats.note_veto(veto, n)
                             continue
+                    ff_stats.note_veto(veto, 1)
                 system.advance_time(t)
                 source.apply(t)
                 if pinned_churn:
@@ -1005,7 +1018,7 @@ class EpochKernel:
                     epoch_s,
                     min(1.0, bandwidth / PEAK_DRAM_BANDWIDTH_BYTES_PER_S),
                     sample.dpd_fraction)
-                sim.ff_stats.epochs_stepped += 1
+                ff_stats.epochs_stepped += 1
                 clock.tick()
         finally:
             state.dram_energy = dram_energy

@@ -83,10 +83,6 @@ class WorkloadRunResult:
             return 0.0
         return sum(s.offline_blocks for s in self.samples) / len(self.samples)
 
-    def mean_offlined_bytes(self, block_bytes: int) -> float:
-        """Mean off-lined capacity over the run (Figure 6's metric)."""
-        return self.mean_offline_blocks * block_bytes
-
     @property
     def dram_energy_saving(self) -> float:
         if self.baseline_dram_energy_j <= 0:

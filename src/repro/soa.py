@@ -274,13 +274,6 @@ class GroupGateStore:
         total[live] += now_s - self.offline_since_s[live]
         return total
 
-    def gated_residency_s(self, now_s: float) -> np.ndarray:
-        """Cumulative seconds each group has spent gated, as of *now_s*."""
-        total = self.gated_total_s.copy()
-        live = self.gated
-        total[live] += now_s - self.gated_since_s[live]
-        return total
-
 
 # --- batched epoch evaluation -------------------------------------------------
 #

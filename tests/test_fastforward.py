@@ -16,10 +16,17 @@ from repro.core.system import GreenDIMMSystem
 from repro.dram.organization import DDR4_4GB_X8, MemoryOrganization
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultRule, storm_plan
+from repro.sim.fleet import fleet_server_memory
 from repro.sim.server import ServerSimulator
 from repro.units import GIB, MIB
 from repro.workloads import profile_by_name
-from repro.workloads.azure import AzureTraceGenerator
+from repro.workloads.azure import (
+    AzureTrace,
+    AzureTraceGenerator,
+    VMEvent,
+    VMInstance,
+    VMType,
+)
 from repro.workloads.trace import FootprintTrace
 
 
@@ -156,6 +163,68 @@ class TestVMTraceEquivalence:
         assert result.samples
         assert sim.ff_stats.epochs_fast_forwarded == 0
         assert sim.ff_stats.epochs_stepped == len(result.samples)
+
+
+class TestSaturatedTraceEquivalence:
+    """A fleet server overcommitted into swap fast-forwards its stall.
+
+    Five 4 GiB VMs arrive a minute apart on one 16 GiB fleet server
+    (14 GiB usable): the fourth pushes free memory below the daemon's
+    low-water mark with every block already on-lined, and the server
+    sits there, partly swapped out, for about 55 minutes until the
+    first departure.  A monitor pass in that state walks an empty
+    offline set, so the window must open; a band-only no-op predicate
+    steps all of it.
+    """
+
+    def trace(self):
+        vm_type = VMType(name="big", vcpus=4, memory_bytes=4 * GIB,
+                         lifetime_mu=0.0, lifetime_sigma=0.0, image_id=0)
+        events = []
+        for i in range(5):
+            vm = VMInstance(vm_id=i, vm_type=vm_type,
+                            arrival_s=60.0 * (i + 1),
+                            departure_s=3600.0 + 600.0 * i)
+            events += [VMEvent(vm.arrival_s, "arrive", vm),
+                       VMEvent(vm.departure_s, "depart", vm)]
+        events.sort(key=lambda event: event.time_s)
+        return AzureTrace(events=events, samples=[],
+                          capacity_bytes=16 * GIB)
+
+    def run(self, fast):
+        system = GreenDIMMSystem(
+            organization=fleet_server_memory(),
+            config=GreenDIMMConfig(block_bytes=512 * MIB),
+            kernel_boot_bytes=2 * GIB, transient_failure_probability=0.5,
+            seed=1001)
+        sim = ServerSimulator(system, seed=1002, fast_forward=fast)
+        return sim.run_vm_trace(self.trace(), epoch_s=5.0,
+                                pinned_churn=False), sim
+
+    def test_saturated_stall_fast_forwards_identically(self):
+        (a, sim_a), (b, sim_b) = self.run(False), self.run(True)
+        daemon = sim_b.system.daemon
+        saturated = [s for s in b.samples
+                     if s.free_pages < daemon.low_water_pages
+                     and s.offline_blocks == 0]
+        assert len(saturated) > 600
+        assert sim_b.swap.stats.pages_swapped_out > 0
+        assert a.samples == b.samples
+        assert a.dram_energy_j.hex() == b.dram_energy_j.hex()
+        assert (a.baseline_dram_energy_j.hex()
+                == b.baseline_dram_energy_j.hex())
+        assert a.emergency_onlines == b.emergency_onlines
+        assert sim_a.system.daemon.stats == daemon.stats
+        assert list(sim_a.system.daemon.event_log) == list(daemon.event_log)
+        assert sim_a.swap.stats == sim_b.swap.stats
+        # Only the ten trace-event epochs and the t=0 epoch, whose
+        # monitor off-lines the idle server's surplus, step the stack.
+        stats = sim_b.ff_stats
+        assert stats.epochs_stepped == 11
+        assert stats.vetoes() == {
+            "veto_workload_event": 10, "veto_monitor_armed": 1,
+            "veto_ksm": 0, "veto_fault_window": 0, "veto_short_window": 0}
+        assert stats.epochs_fast_forwarded == len(b.samples) - 11
 
 
 class TestFaultStormEquivalence:

@@ -127,7 +127,14 @@ class TestStableSpans:
             "spans_stable": stats.spans_stable,
             "epochs_batched": stats.epochs_batched,
             "epochs_dynamic": stats.epochs_stepped - stats.epochs_batched,
+            **stats.vetoes(),
         }
+        # Only the fast run classifies vetoes, so it owns the totals; a
+        # stable span counts every batched epoch under one reason.
+        vetoes = stats.vetoes()
+        assert {key: drained[key] for key in vetoes} == vetoes
+        assert stats.epochs_batched <= sum(vetoes.values()) \
+            <= stats.epochs_stepped
 
     def test_churn_spans_preserve_rng_stream(self):
         # Pinned churn runs for real inside a span; the arrival/expiry
